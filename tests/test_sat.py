@@ -130,6 +130,109 @@ class TestSolverBasics:
         stats = solver.statistics()
         assert stats["vars"] == 2
 
+    def test_statistics_keys(self):
+        # perfbench/layers.py reads these keys around every solve call.
+        solver = Solver()
+        for clause in pigeonhole(4, 3):
+            solver.add_clause(clause)
+        assert solver.solve() is False
+        stats = solver.statistics()
+        assert set(stats) == {"conflicts", "decisions", "propagations",
+                              "clauses", "vars"}
+        assert stats["vars"] == 12
+        assert stats["conflicts"] == solver.conflicts > 0
+        assert stats["decisions"] > 0 and stats["propagations"] > 0
+
+    def test_zero_assumption_rejected(self):
+        with pytest.raises(ValueError):
+            Solver().solve(assumptions=[0])
+
+
+def pigeonhole(pigeons: int, holes: int) -> list[list[int]]:
+    """Every pigeon in some hole, no hole shared: UNSAT when pigeons > holes."""
+    def var(i: int, j: int) -> int:
+        return i * holes + j + 1
+
+    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    for j in range(holes):
+        for i1 in range(pigeons):
+            for i2 in range(i1 + 1, pigeons):
+                clauses.append([-var(i1, j), -var(i2, j)])
+    return clauses
+
+
+class TestSolverReuse:
+    def test_clause_after_sat_answer(self):
+        # The first model sets 2; a later clause -2 must not be read as a
+        # contradiction with a level-0 fact.
+        solver = Solver()
+        solver.add_clause([1, 2])
+        assert solver.solve() is True
+        assert solver.add_clause([-2]) is True
+        assert solver.solve() is True
+        model = solver.model()
+        assert model[1] and not model[2]
+
+    def test_assumptions_after_sat_answer(self):
+        solver = Solver()
+        solver.add_clause([1, 2])
+        assert solver.solve() is True
+        assert solver.solve(assumptions=[1]) is True
+        assert solver.model()[1]
+        assert solver.solve(assumptions=[-1]) is True
+        model = solver.model()
+        assert not model[1] and model[2]
+
+    def test_model_survives_later_clauses(self):
+        solver = Solver()
+        solver.add_clause([1, 2])
+        assert solver.solve(assumptions=[1, -2]) is True
+        solver.add_clause([3, 4])
+        assert solver.model() == {1: True, 2: False, 3: False, 4: False}
+
+    def test_unsat_under_assumptions_keeps_formula_usable(self):
+        solver = Solver()
+        solver.add_clause([-1, 2])
+        solver.add_clause([-2, 3])
+        assert solver.solve(assumptions=[1, -3]) is False
+        assert solver.solve() is True
+        assert solver.solve(assumptions=[1]) is True
+        assert solver.model()[3]
+
+    def test_conflict_budget_then_full_solve(self):
+        solver = Solver()
+        for clause in pigeonhole(7, 6):
+            solver.add_clause(clause)
+        assert solver.solve(conflict_budget=1) is None
+        assert solver.conflicts == 1
+        assert solver.solve() is False
+        assert solver.solve() is False
+
+    def test_conflict_budget_then_sat(self):
+        solver = Solver()
+        for clause in pigeonhole(7, 7):
+            solver.add_clause(clause)
+        assert solver.solve(conflict_budget=1) in (None, True)
+        assert solver.solve() is True
+        model = solver.model()
+        for clause in pigeonhole(7, 7):
+            assert any(model[abs(lit)] == (lit > 0) for lit in clause)
+
+    def test_activity_rescale_keeps_verdicts(self):
+        # A huge increment forces activity rescaling (and the heap
+        # rebuild that goes with it) within the first few conflicts.
+        solver = Solver()
+        solver.var_inc = 1e99
+        for clause in pigeonhole(6, 5):
+            solver.add_clause(clause)
+        assert solver.solve() is False
+        assert solver.var_inc < 1e99
+        sat = Solver()
+        sat.var_inc = 1e99
+        for clause in pigeonhole(6, 6):
+            sat.add_clause(clause)
+        assert sat.solve() is True
+
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, width: int = 3) -> Cnf:
     cnf = Cnf(num_vars)
@@ -166,6 +269,51 @@ class TestSolverAgainstBruteForce:
         else:
             # cross-check a claimed-UNSAT result on a smaller projection
             assert brute_force_cnf(cnf) is None if cnf.num_vars <= 22 else True
+
+
+def satisfies(model: dict[int, bool], clauses, assumptions=()) -> bool:
+    return (all(any(model[abs(lit)] == (lit > 0) for lit in clause)
+                for clause in clauses)
+            and all(model[abs(lit)] == (lit > 0) for lit in assumptions))
+
+
+class TestIncrementalAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_chunks_and_assumptions(self, seed):
+        """One solver, clauses fed in chunks, random assumptions per call."""
+        rng = random.Random(5000 + seed)
+        num_vars = rng.randint(4, 12)
+        cnf = random_cnf(rng, num_vars, int(num_vars * rng.uniform(3.0, 6.0)))
+        solver = Solver()
+        added: list[tuple[int, ...]] = []
+        clauses = list(cnf.clauses)
+        while clauses:
+            size = rng.randint(1, 8)
+            chunk, clauses = clauses[:size], clauses[size:]
+            chunk_ok = True
+            for clause in chunk:
+                added.append(clause)
+                chunk_ok = solver.add_clause(clause) and chunk_ok
+            for _ in range(3):
+                picked = rng.sample(range(1, num_vars + 1), rng.randint(0, 3))
+                assumptions = [v if rng.random() < 0.5 else -v for v in picked]
+                reference = Cnf(num_vars)
+                reference.add_clauses(added)
+                for lit in assumptions:
+                    reference.add_clause([lit])
+                expected = brute_force_cnf(reference)
+                verdict = solver.solve(assumptions=assumptions)
+                assert verdict is (expected is not None)
+                if verdict:
+                    # The model covers the variables the solver has seen.
+                    model = solver.model()
+                    assert set(model) == set(range(1, solver.num_vars + 1))
+                    assert satisfies(model, added, assumptions)
+            if not chunk_ok:
+                # add_clause reported UNSAT: the formula itself must be.
+                whole = Cnf(num_vars)
+                whole.add_clauses(added)
+                assert brute_force_cnf(whole) is None
 
 
 def enumerate_models(cnf: Cnf, over_vars: int):

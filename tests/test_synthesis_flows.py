@@ -14,6 +14,7 @@ from repro.synthesis import (
     fold_lattice,
     lattice_from_covers,
     lattice_size_formula,
+    minimal_area_map,
     optimize_lattice,
     pcircuit_decompose,
     pick_shared_literal,
@@ -253,3 +254,14 @@ class TestOptimal:
         assert res.lattice.implements(t)
         heuristic = fold_lattice(synthesize_lattice_dual(t), t)
         assert res.area <= heuristic.area
+
+    @pytest.mark.parametrize("n,max_area,count", [(2, 4, 16), (3, 6, 214)])
+    def test_areas_match_exhaustive_enumeration(self, n, max_area, count):
+        """Every function whose minimum lattice has at most ``max_area``
+        sites gets exactly that area, proved optimal."""
+        frontier = minimal_area_map(n, max_area=max_area)
+        assert len(frontier) == count
+        for table, area in frontier.items():
+            res = synthesize_lattice_optimal(table)
+            assert (res.area, res.proved_optimal) == (area, True), table
+            assert res.lattice.implements(table)
