@@ -9,23 +9,30 @@ lattice" (see :mod:`repro.synthesis.enumerate_lattices`) — and the right
 key granularity for the :mod:`repro.engine` result cache.
 
 The canonical representative is the table whose value array is
-lexicographically minimal (entry 0 first) over all transforms — equal to
-what blind enumeration of all ``n! * 2^(n+1)`` transforms finds, but
-computed by a pruned packed-uint64 search (:func:`npn_canonical`):
+lexicographically minimal (entry 0 first) over all ``2 * 2^n * n!``
+transforms.  :func:`npn_canonical` enumerates every one of them at once
+on truth-table *words* (one ``uint64``, bit ``m`` = ``f(m)``; exact for
+``n <= MAX_EXACT_NPN_VARS`` = 6):
 
-* each candidate table is packed into a single ``uint64`` key (entry 0 as
-  the most significant bit), so a whole permutation sweep is one
-  vectorised gather + reduction instead of ``n!`` Python loops;
-* the ``2^(n+1)`` *(output polarity, input negation)* branches are pruned
-  by a sound cofactor-signature lower bound — the key's entry 0 is
-  ``f(nu) ^ o`` and its entries at the power-of-two positions are exactly
-  the 1-Hamming cofactor values around ``nu``, so a branch whose best
-  possible key already exceeds the incumbent is skipped without touching
-  any permutation.
+* one gather and one ``packbits`` build the ``2^n`` input-negated words
+  ``f(x ^ nu)``;
+* ``n(n-1)/2`` adjacent-variable delta swaps, each one whole-array
+  shift-and-mask op, build the ``n!`` permutations of every negated word;
+* the entry-0-first key of transform ``(p, nu, o)`` orders exactly like
+  the LSB-first word of ``(p, nu ^ (2^n - 1), o)`` — complementing every
+  input reverses the table — so reversing the negation axis gives all
+  keys; output negation complements a word, so ``min`` and ``max`` of
+  the ``2^n x n!`` array give the answer.
 
-Exact for ``n <= MAX_EXACT_NPN_VARS`` (= 6); the blind reference
-implementation is kept as :func:`npn_canonical_exhaustive` for the
-property suite (classic class counts: 4 for n=2, 14 for n=3).
+The witness is part of the contract too: the engine cache rewrites
+stored lattices through it, so among the transforms that reach the
+minimal key the winner is fixed as the smallest ``(o, nu, rank)``, with
+``rank`` the permutation's position in :func:`itertools.permutations`
+order; ``tests/data/npn_witness_golden.json`` pins forms and witnesses.
+
+The blind reference :func:`npn_canonical_exhaustive` is kept as the
+test oracle (classic class counts: 4 for n=2, 14 for n=3); past
+``n = 6``, :func:`npn_semicanonical` gives keys in ``O(n 2^n)``.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ import numpy as np
 
 from .truthtable import TruthTable
 
-#: Largest variable count the pruned exact canonical search accepts
-#: (2^n must fit one packed uint64 key).
+#: Largest variable count the exact canonical search accepts (2^n must
+#: fit one uint64 word).
 MAX_EXACT_NPN_VARS = 6
 
 
@@ -55,10 +62,10 @@ class NpnTransform:
 def apply_transform(table: TruthTable, transform: NpnTransform) -> TruthTable:
     """Apply an NPN transform to a truth table.
 
-    The result ``g`` satisfies ``g(x) = f(sigma(x)) ^ out`` where bit ``i``
-    of ``sigma(x)`` is ``x[perm[i]] ^ neg[perm[i]]``... concretely: new
-    variable ``i`` takes the role of old variable ``perm[i]``, with
-    negation applied per the mask (over old variable indices).
+    The result ``g`` satisfies ``g(x) = f(sigma(x)) ^ out``: new variable
+    ``i`` reads old variable ``perm[i]``, so bit ``perm[i]`` of
+    ``sigma(x)`` is ``x_i ^ neg[perm[i]]``, with ``neg`` the
+    ``input_negation_mask`` over *old* variable indices.
     """
     n = table.n
     idx = np.arange(1 << n)
@@ -77,9 +84,9 @@ def apply_transform(table: TruthTable, transform: NpnTransform) -> TruthTable:
 def npn_canonical_exhaustive(table: TruthTable) -> tuple[TruthTable, NpnTransform]:
     """Blind-enumeration reference canonicalisation (n <= 5).
 
-    Tries every ``n! * 2^(n+1)`` transform; kept as the bit-exact
-    reference :func:`npn_canonical`'s pruned search is property-tested
-    against.
+    Tries every ``n! * 2^(n+1)`` transform; kept as the test oracle
+    :func:`npn_canonical`'s canonical forms are property-tested against
+    (its witness follows a different tie order).
     """
     n = table.n
     if n > 5:
@@ -99,80 +106,120 @@ def npn_canonical_exhaustive(table: TruthTable) -> tuple[TruthTable, NpnTransfor
     return best, best_transform
 
 
-@lru_cache(maxsize=8)
-def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """All permutations of ``range(n)`` plus their index-scatter table.
+@lru_cache(maxsize=1)
+def _swap_masks() -> tuple[tuple[np.uint64, np.uint64], ...]:
+    """Per variable ``v < 5``: ``(2^v, mask)`` as ``uint64`` scalars.
 
-    ``scatter[p, m]`` is the input index reached from assignment ``m`` by
-    routing new-variable bit ``i`` to old variable ``perms[p][i]`` — the
-    permutation part of the transform, ready to be XORed with a negation
-    mask and used as one gather into the packed table.
+    ``mask`` has bit ``m`` set when assignment ``m`` has ``x_v = 1,
+    x_{v+1} = 0``: the half of a word that a delta swap of ``v`` and
+    ``v + 1`` exchanges with the assignments ``2^v`` above.  Both are
+    ``uint64`` because numpy < 2 float-promotes (and then refuses to
+    shift) a ``uint64`` mixed with a Python int.
     """
-    perms = tuple(permutations(range(n)))
-    m = np.arange(1 << n, dtype=np.int64)
-    scatter = np.zeros((len(perms), 1 << n), dtype=np.int64)
-    for p, perm in enumerate(perms):
-        for new_var, old_var in enumerate(perm):
-            scatter[p] |= ((m >> new_var) & 1) << old_var
-    return perms, scatter
+    return tuple((np.uint64(1 << v),
+                  np.uint64(sum(1 << m for m in range(64)
+                                if m >> v & 1 and not m >> (v + 1) & 1)))
+                 for v in range(MAX_EXACT_NPN_VARS - 1))
+
+
+def _swap(words: np.ndarray, v: int) -> np.ndarray:
+    """``f(x with x_v and x_{v+1} exchanged)`` for every word in ``words``."""
+    shift, mask = _swap_masks()[v]
+    delta = ((words >> shift) ^ words) & mask
+    return words ^ delta ^ (delta << shift)
+
+
+def _permute_all(words: np.ndarray, n: int) -> np.ndarray:
+    """Every variable permutation of every word: shape ``(len, n!)``.
+
+    Variables are inserted one at a time: permuting ``0..k`` is each
+    permutation of ``0..k-1`` composed with one of the ``k + 1``
+    rotations that the adjacent swaps ``(k-1, k), (k-2, k-1), ...``
+    produce in turn, so ``n(n-1)/2`` whole-array delta swaps build all
+    ``n!`` columns.  Column order is this construction's, not
+    :func:`itertools.permutations`'; :func:`_plan` maps between them.
+    """
+    block = words[:, None]
+    for k in range(1, n):
+        copies = [block]
+        for v in range(k - 1, -1, -1):
+            copies.append(_swap(copies[-1], v))
+        block = np.concatenate(copies, axis=1)
+    return block
+
+
+@lru_cache(maxsize=MAX_EXACT_NPN_VARS + 1)
+def _plan(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray,
+                           np.ndarray, np.dtype, np.uint64]:
+    """What :func:`npn_canonical` needs per ``n``, built on first use.
+
+    Returns ``(perms, ranks, flips, row_dtype, full)``:
+
+    * ``perms[p]``: the permutation of :func:`_permute_all` column ``p``
+      in the :class:`NpnTransform` convention, and ``ranks[p]`` its
+      position in :func:`itertools.permutations` order.  Column ``p``
+      turns ``f`` into ``f(P(x))``; running it on the projection words
+      ``x_v`` finds ``P``: the column maps the word of ``x_v`` to the
+      word of ``x_u`` exactly when ``P(x)_v = x_u``, i.e.
+      ``perms[p][u] = v``;
+    * ``flips[nu, x] = x ^ nu``: one gather gives every input negation;
+    * ``row_dtype``: the little-endian unsigned dtype of ``2^n`` packed
+      bits;
+    * ``full``: the all-ones word of ``2^n`` bits.
+    """
+    size = 1 << n
+    projections = [sum(1 << m for m in range(size) if m >> v & 1)
+                   for v in range(n)]
+    moved = _permute_all(np.array(projections, dtype=np.uint64), n)
+    source = {word: u for u, word in enumerate(projections)}
+    perms = []
+    for column in moved.T.tolist():
+        perm = [0] * n
+        for v, word in enumerate(column):
+            perm[source[word]] = v
+        perms.append(tuple(perm))
+    rank = {perm: r for r, perm in enumerate(permutations(range(n)))}
+    index = np.arange(size)
+    return (tuple(perms),
+            np.array([rank[perm] for perm in perms], dtype=np.int64),
+            index[:, None] ^ index[None, :],
+            np.dtype(f"<u{max(1, size // 8)}"),
+            np.uint64((1 << size) - 1))
 
 
 def npn_canonical(table: TruthTable) -> tuple[TruthTable, NpnTransform]:
     """The lexicographically-minimal NPN representative and its witness.
 
-    Pruned packed-uint64 branch-and-bound, exact for ``n <=
-    MAX_EXACT_NPN_VARS``: for every *(output polarity o, input negation
-    nu)* branch the candidate key's fixed entries — entry 0 is
-    ``f(nu) ^ o`` and the power-of-two entries are a permutation of the
-    1-Hamming cofactor signature ``{f(nu ^ e_v) ^ o}`` — give a sound
-    optimistic bound; branches that cannot beat the incumbent are skipped,
-    and surviving branches evaluate all ``n!`` permutations in one
-    vectorised gather instead of a Python loop per transform.
+    Exact for ``n <= MAX_EXACT_NPN_VARS``: all ``2 * 2^n * n!``
+    transforms are enumerated at once on ``uint64`` truth-table words;
+    see the module docstring for the key order and the tie rule.
     """
     n = table.n
     if n > MAX_EXACT_NPN_VARS:
         raise ValueError(
             f"exact NPN canonicalisation supports n <= {MAX_EXACT_NPN_VARS}")
-    size = 1 << n
-    values = table.values
-    perms, scatter = _perm_tables(n)
-    weights = (np.uint64(1) << (np.uint64(63) - np.arange(size,
-                                                          dtype=np.uint64)))
-
-    # Optimistic lower bound per branch: the candidate's entry 0 and, at
-    # the power-of-two positions, the sorted 1-Hamming cofactor values
-    # (sorted-ascending is the best any permutation could arrange them);
-    # all other positions bounded by 0.
-    single_positions = [63 - (1 << i) for i in range(n)]
-    branches = []
-    for out_neg in (False, True):
-        for neg_mask in range(size):
-            first = bool(values[neg_mask]) ^ out_neg
-            singles = sorted(bool(values[neg_mask ^ (1 << v)]) ^ out_neg
-                             for v in range(n))
-            bound = (1 << 63) if first else 0
-            for bit, position in zip(singles, single_positions):
-                if bit:
-                    bound |= 1 << position
-            branches.append((bound, out_neg, neg_mask))
-    branches.sort(key=lambda branch: branch[0])
-
-    best_key: int | None = None
-    best_transform: NpnTransform | None = None
-    for bound, out_neg, neg_mask in branches:
-        if best_key is not None and bound > best_key:
-            break  # branches are bound-sorted: nothing later can win
-        candidates = values[scatter ^ neg_mask]
-        if out_neg:
-            candidates = ~candidates
-        keys = np.where(candidates, weights, np.uint64(0)).sum(axis=1)
-        winner = int(keys.argmin())
-        key = int(keys[winner])
-        if best_key is None or key < best_key:
-            best_key = key
-            best_transform = NpnTransform(perms[winner], neg_mask, out_neg)
-    assert best_transform is not None
-    return apply_transform(table, best_transform), best_transform
+    perms, ranks, flips, row_dtype, full = _plan(n)
+    negated = table.values[flips]  # negated[nu, x] = f(x ^ nu)
+    words = np.packbits(negated, axis=1, bitorder="little")
+    words = words.view(row_dtype)[:, 0].astype(np.uint64)
+    # Reversing the negation axis makes word order key order: row nu
+    # then holds the words of negation nu ^ (2^n - 1), which are the
+    # tables of negation nu with the entries reversed, so entry 0 lands
+    # in the top bit.
+    keys = _permute_all(words, n)[::-1]
+    low, high = keys.min(), keys.max()
+    out_neg = bool((high ^ full) < low)  # a tie keeps the output
+    best = high ^ full if out_neg else low
+    tied = keys == (high if out_neg else low)
+    # Tie rule (module docstring): the first negation holding a minimum,
+    # then the smallest permutation rank in it.
+    neg_mask = int(np.argmax(tied.any(axis=1)))
+    winner = int(np.argmin(np.where(tied[neg_mask], ranks, len(perms))))
+    transform = NpnTransform(perms[winner], neg_mask, out_neg)
+    # The representative is the minimal key read MSB-first.
+    key_bits = np.unpackbits(np.array([best], dtype="<u8").view(np.uint8),
+                             bitorder="little")
+    return TruthTable(n, key_bits[(1 << n) - 1::-1]), transform
 
 
 def _walsh_hadamard(signed: np.ndarray) -> np.ndarray:

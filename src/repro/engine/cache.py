@@ -22,7 +22,7 @@ function plus a *polarity slot*:
   hash of the *full* representative table — which the store also keeps
   verbatim in the ``gtable`` column and re-checks on every probe — a key
   collision between distinct functions can never surface a wrong hit.
-  Up to n = 6 the pruned packed-uint64 search of
+  Up to n = 6 the word-level enumeration of
   :func:`repro.boolean.npn.npn_canonical` keeps exact class-level keys
   affordable.
 
@@ -51,9 +51,9 @@ from ..boolean.truthtable import TruthTable
 from ..crossbar.lattice import Lattice, Site
 from .jobs import StrategyOutcome
 
-#: Largest n with exact NPN-canonical cache keys.  The pruned
-#: packed-uint64 search (:func:`repro.boolean.npn.npn_canonical`) makes
-#: n = 6 affordable; beyond that the semi-canonical witness keeps
+#: Largest n with exact NPN-canonical cache keys.  The word-level
+#: enumeration (:func:`repro.boolean.npn.npn_canonical`) makes n = 6
+#: affordable; beyond that the semi-canonical witness keeps
 #: class-level sharing alive (splitting a class on invariant ties, never
 #: merging two).
 MAX_NPN_VARS = 6
@@ -84,8 +84,8 @@ def canonical_cache_key(table: TruthTable,
 @lru_cache(maxsize=1 << 14)
 def _canonical_from_bits(n: int, bits: int, max_npn_vars: int
                          ) -> tuple[str, NpnTransform]:
-    # Canonicalisation is the warm-path bottleneck, so memoise per packed
-    # table.
+    # Every warm probe needs a key, and a table's key never changes, so
+    # memoise per packed table: a repeated table costs one dict lookup.
     table = TruthTable.from_bits(n, bits)
     if n <= max_npn_vars:
         canonical, transform = npn_canonical(table)

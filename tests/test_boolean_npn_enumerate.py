@@ -162,20 +162,30 @@ class TestEnumeration:
         assert len(frontier) == 16
 
 
-class TestPrunedCanonicalSearch:
-    """The packed-uint64 pruned search vs the blind-enumeration reference."""
+class TestWordLevelCanonicalSearch:
+    """The word-level enumeration vs the blind-enumeration reference."""
 
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_pruned_matches_exhaustive(self, n, data):
+    def test_word_level_matches_exhaustive(self, n, data):
         from repro.boolean.npn import npn_canonical_exhaustive
 
         bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
         t = TruthTable.from_bits(n, bits)
-        pruned, witness = npn_canonical(t)
+        canonical, witness = npn_canonical(t)
         blind, _ = npn_canonical_exhaustive(t)
-        assert pruned == blind
-        assert apply_transform(t, witness) == pruned
+        assert canonical == blind
+        assert apply_transform(t, witness) == canonical
+
+    @given(st.integers(0, (1 << 32) - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_word_level_matches_exhaustive_n5(self, bits):
+        from repro.boolean.npn import npn_canonical_exhaustive
+
+        t = TruthTable.from_bits(5, bits)
+        canonical, witness = npn_canonical(t)
+        assert canonical == npn_canonical_exhaustive(t)[0]
+        assert apply_transform(t, witness) == canonical
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
