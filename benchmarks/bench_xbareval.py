@@ -2,7 +2,7 @@
 
 Quantifies the tentpole claims of the evaluation core:
 
-* ``Lattice.to_truth_table`` through the packed-bitset flood must beat the
+* ``Lattice.to_truth_table`` through the batched flood must beat the
   scalar 2^n union-find loop by >= 10x on 6-variable lattices, with
   bit-identical tables;
 * batched placement-validity sweeps over a defect-map ensemble must agree
@@ -28,8 +28,10 @@ from repro.synthesis import fold_lattice, synthesize_lattice_dual
 from repro.xbareval import (
     lattice_site_codes,
     lattice_truthtable,
-    placement_valid_batch,
+    left_right_blocked_8_batch,
     percolation_duality_holds_batch,
+    placement_valid_batch,
+    top_bottom_connected_batch,
 )
 
 SMOKE = os.environ.get("XBAREVAL_SMOKE") == "1"
@@ -170,14 +172,14 @@ def test_percolation_duality_smoke(save_table):
                "percolation duality holds on 64 random 8x8 grids: yes")
 
 
-# -- raw-speed core pass: tall grids past the single-word limit ----------
+# -- raw-speed core pass: tall grids ---------------------------------------
 
 #: ``CORE_SPEED_SMOKE=1`` shrinks the tall-grid sweep for CI runners.
 CORE_SMOKE = os.environ.get("CORE_SPEED_SMOKE") == "1" or SMOKE
-#: Acceptance floor for the committed artifact (full run): the multi-word
-#: packed flood must beat the boolean unpacked fallback >= 5x at 128 rows.
+#: Acceptance floor (full run): the public dispatch (the label pass) must
+#: beat the unpacked boolean flood >= 5x at 128 rows.
 MIN_TALL_SPEEDUP = 1.2 if CORE_SMOKE else 5.0
-#: (rows, cols, batch) tall regimes; both need > 1 uint64 word per column.
+#: (rows, cols, batch) tall regimes, both past 64 rows.
 TALL_WORKLOADS = (((128, 10, 24), (256, 8, 16)) if CORE_SMOKE
                   else ((128, 64, 256), (256, 48, 192)))
 
@@ -192,41 +194,38 @@ def _best_of(fn, grids, repeats=3):
 
 
 def test_tall_grid_multiword_flood(save_table, save_core_speed):
-    """128/256-row grids: multi-word packed floods vs unpacked booleans.
+    """128/256-row grids: the public dispatch vs the unpacked flood.
 
-    Grids taller than 64 rows used to silently fall off the packed fast
-    path; the multi-word kernels keep them packed.  Verdicts must stay
-    bit-identical to the unpacked reference for both flood duals.
+    Verdicts must stay bit-identical to the unpacked reference for both
+    flood duals.
     """
     from repro.xbareval import connectivity as conn
 
     rows_report = []
-    lines = ["tall-grid flood: multi-word packed vs unpacked fallback",
+    lines = ["tall-grid flood: public dispatch (label pass) vs unpacked flood",
              f"{'rows':>5s} {'cols':>5s} {'batch':>6s} "
              f"{'tb-speedup':>11s} {'lr-speedup':>11s}"]
     for rows, cols, batch in TALL_WORKLOADS:
         gen = np.random.default_rng(5)
         grids = gen.random((batch, rows, cols)) < 0.55
-        tb_packed, tb_fast = _best_of(conn._top_bottom_connected_numpy,
-                                      grids)
+        tb_out, tb_fast = _best_of(top_bottom_connected_batch, grids)
         tb_ref, tb_slow = _best_of(conn._top_bottom_connected_unpacked,
                                    grids)
-        lr_packed, lr_fast = _best_of(conn._left_right_blocked_8_numpy,
-                                      grids)
+        lr_out, lr_fast = _best_of(left_right_blocked_8_batch, grids)
         lr_ref, lr_slow = _best_of(conn._left_right_blocked_8_unpacked,
                                    grids)
-        assert np.array_equal(tb_packed, tb_ref)
-        assert np.array_equal(lr_packed, lr_ref)
+        assert np.array_equal(tb_out, tb_ref)
+        assert np.array_equal(lr_out, lr_ref)
         tb_speedup = tb_slow / tb_fast
         lr_speedup = lr_slow / lr_fast
         assert tb_speedup >= MIN_TALL_SPEEDUP
         assert lr_speedup >= MIN_TALL_SPEEDUP
         rows_report.append({
             "rows": rows, "cols": cols, "batch": batch,
-            "top_bottom_packed_seconds": tb_fast,
+            "top_bottom_dispatch_seconds": tb_fast,
             "top_bottom_unpacked_seconds": tb_slow,
             "top_bottom_speedup": tb_speedup,
-            "left_right_packed_seconds": lr_fast,
+            "left_right_dispatch_seconds": lr_fast,
             "left_right_unpacked_seconds": lr_slow,
             "left_right_speedup": lr_speedup,
         })

@@ -38,8 +38,8 @@ def save_table(results_dir):
 def save_core_speed(results_dir):
     """Merge one section into the raw-speed artifact.
 
-    The core-speed story spans three benchmark files (tall-grid floods,
-    backend comparison, engine dedup + preemption); each contributes its
+    The core-speed story spans two benchmark files (tall-grid floods,
+    engine dedup + preemption); each contributes its
     own section to ``results/BENCH_core_speed.json`` so a partial rerun
     refreshes only what it measured.
     """

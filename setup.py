@@ -20,15 +20,14 @@ setup(
     # numpy is a hard runtime dependency: repro.reliability.variation and
     # the repro.faultlab / repro.varsim campaign engines are built on it.
     # Floor: >= 1.22 (Generator/SeedSequence APIs and axis-aware kernels the
-    # batched cores use).  numpy >= 2.0 is *not* required: the packed-bitset
-    # kernels prefer np.bitwise_count when present and select the
+    # batched cores use).  numpy >= 2.0 is *not* required: the GF(2)
+    # parity tables prefer np.bitwise_count when present and select the
     # unpackbits-based fallback in repro.boolean.bitops on 1.x at import.
-    install_requires=["numpy>=1.22"],
+    # scipy is a hard dependency too: repro.xbareval answers every
+    # connectivity check with one scipy.ndimage.label pass per batch.
+    install_requires=["numpy>=1.22", "scipy"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
-        # optional accelerator: repro.xbareval uses one scipy.ndimage.label
-        # pass per batch when available (pure-numpy fallback otherwise)
-        "fast": ["scipy"],
     },
     entry_points={
         "console_scripts": [

@@ -18,7 +18,7 @@ Sub-packages:
   campaigns (Section IV at ensemble scale, ``nanoxbar faultsim``)
 * :mod:`repro.varsim`      — batched variation-aware Monte-Carlo delay
   campaigns (Section IV variation tolerance, ``nanoxbar varsweep``)
-* :mod:`repro.xbareval`    — batched packed-bitset lattice evaluation core
+* :mod:`repro.xbareval`    — batched lattice evaluation core
   (whole truth tables, placement sweeps and shortest-path delay relaxation
   per kernel call; the scalar references remain as bit-exact checks)
 * :mod:`repro.analysis`    — invariant lint engine (``nanoxbar lint``)

@@ -1,4 +1,4 @@
-"""``repro.xbareval`` — batched packed-bitset lattice evaluation core.
+"""``repro.xbareval`` — batched lattice evaluation core.
 
 Every semantic check in the package (Section III lattice synthesis
 validation, Section IV mapping/yield experiments) bottoms out in
@@ -6,8 +6,8 @@ top-bottom percolation connectivity.  This subsystem computes it for whole
 batches at once:
 
 * :mod:`~repro.xbareval.connectivity` — ``(B, R, C)`` boolean conduction
-  tensors flooded by iterative label propagation, replacing the per-grid
-  scalar union-find of :mod:`repro.crossbar.paths`;
+  tensors labelled in one ``scipy.ndimage`` pass per batch, replacing the
+  per-grid scalar union-find of :mod:`repro.crossbar.paths`;
 * :mod:`~repro.xbareval.lattice_eval` — all ``2^n`` conduction grids of a
   lattice materialised via packed literal masks in one broadcast;
   :func:`lattice_truthtable` returns a
@@ -28,13 +28,7 @@ suite (``tests/test_xbareval.py``) asserts agreement on every kernel, and
 and the :mod:`repro.engine` portfolio verification.
 """
 
-from .backend import (
-    BACKEND_ENV,
-    requested_backend,
-    using_numba,
-)
 from .connectivity import (
-    MAX_PACKED_ROWS,
     left_right_blocked_8_batch,
     percolation_duality_holds_batch,
     top_bottom_connected_batch,
@@ -65,10 +59,8 @@ from .placement import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "CHUNK_ASSIGNMENTS",
     "CHUNK_GRIDS",
-    "MAX_PACKED_ROWS",
     "SITE_CONST0",
     "SITE_CONST1",
     "SITE_LITERAL",
@@ -86,8 +78,6 @@ __all__ = [
     "percolation_duality_holds_batch",
     "placement_valid_batch",
     "placement_valid_grid",
-    "requested_backend",
     "site_masks",
     "top_bottom_connected_batch",
-    "using_numba",
 ]

@@ -132,6 +132,13 @@ class TestProtocol:
             parse_submission({"kind": "faultsim", "n_values": [6],
                               "k_values": [3], "densities": [1.5]})
 
+    def test_non_finite_varsweep_sigma_rejected(self):
+        # json.loads accepts NaN, so the spec check is the only guard
+        payload = json.loads('{"kind": "varsweep", "bench": "xnor2", '
+                             '"sigmas": [NaN], "trials": 4}')
+        with pytest.raises(ProtocolError, match="finite"):
+            parse_submission(payload)
+
     def test_coalesce_keys_are_content_addressed(self):
         spelled = parse_submission({"kind": "synthesis",
                                     "jobs": [{"bench": "xnor2"}]})

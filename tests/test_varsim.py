@@ -67,6 +67,11 @@ def test_lognormal_batch_rejects_bad_parameters():
         lognormal_variation_batch(2, 2, 2, 0.1, gen, nominal=0.0)
     with pytest.raises(ValueError):
         lognormal_variation_batch(-1, 2, 2, 0.1, gen)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lognormal_variation_batch(2, 2, 2, bad, gen)
+        with pytest.raises(ValueError):
+            lognormal_variation_batch(2, 2, 2, 0.1, gen, nominal=bad)
 
 
 def test_variation_batch_submaps_gather():
@@ -228,6 +233,11 @@ def test_campaign_rejects_bad_specs():
         _spec(trials=0)
     with pytest.raises(ValueError):
         _spec(nominal=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            _spec(sigmas=(0.2, bad))
+        with pytest.raises(ValueError, match="finite"):
+            _spec(nominal=bad)
     with pytest.raises(ValueError, match="constant-0"):
         run_variation_campaign(_spec(lattice=Lattice(1, [[False]]),
                                      crossbar_rows=4, crossbar_cols=4))

@@ -125,19 +125,16 @@ def test_left_right_blocked_8_batch_matches_scalar(grids):
 @settings(max_examples=60, deadline=None)
 @given(grid_batches())
 def test_all_kernel_variants_agree(grids):
-    """Label-pass, packed-bitset and unpacked floods are interchangeable
-    (whichever the dispatch picks, the others must match it)."""
+    """The label pass and the unpacked flood both match the scalar
+    union-find, for both duals."""
     from repro.xbareval import connectivity as conn
 
     tb = [top_bottom_connected(g.tolist()) for g in grids]
     lr = [left_right_blocked_8(g.tolist()) for g in grids]
-    assert conn._top_bottom_connected_packed(grids).tolist() == tb
+    assert conn._top_bottom_connected_label(grids).tolist() == tb
     assert conn._top_bottom_connected_unpacked(grids).tolist() == tb
-    assert conn._left_right_blocked_8_packed(grids).tolist() == lr
+    assert conn._left_right_blocked_8_label(grids).tolist() == lr
     assert conn._left_right_blocked_8_unpacked(grids).tolist() == lr
-    if conn._ndimage is not None:
-        assert conn._top_bottom_connected_label(grids).tolist() == tb
-        assert conn._left_right_blocked_8_label(grids).tolist() == lr
 
 
 @settings(max_examples=120, deadline=None)
@@ -179,10 +176,10 @@ def test_serpentine_worst_case():
 
 
 # ----------------------------------------------------------------------
-# Multi-word packed layout (rows > 64)
+# Tall grids (rows around and past 64)
 # ----------------------------------------------------------------------
-#: The heights the multi-word property suite pins: both sides of the
-#: single-word boundary plus genuinely tall fabrics (2, 4 words).
+#: Heights pinned by the tall-grid property suite: both sides of 64 rows
+#: plus genuinely tall fabrics.
 TALL_ROW_REGIMES = (63, 64, 65, 128, 200)
 
 
@@ -197,111 +194,41 @@ def tall_grid_batches(draw):
     return rng.random((batch, rows, cols)) < density
 
 
-@settings(max_examples=40, deadline=None)
-@given(tall_grid_batches())
-def test_multiword_pack_unpack_round_trip(grids):
-    from repro.xbareval import connectivity as conn
-
-    rows = grids.shape[1]
-    packed = conn._pack_rows_multiword(grids)
-    assert packed.dtype == np.uint64
-    assert packed.shape == (grids.shape[0], -(-rows // 64), grids.shape[2])
-    assert np.array_equal(conn._unpack_rows_multiword(packed, rows), grids)
-    # the valid-row masks cover exactly the packable bits
-    full = conn._full_mask_multiword(rows)
-    assert np.array_equal(packed & full[None, :, None], packed)
-    ones = conn._pack_rows_multiword(np.ones_like(grids))
-    assert np.array_equal(ones, np.broadcast_to(full[None, :, None],
-                                                ones.shape))
-
-
 @settings(max_examples=30, deadline=None)
 @given(tall_grid_batches())
 def test_multiword_floods_match_unpacked_reference(grids):
-    """The tentpole equivalence: multi-word Kogge-Stone floods agree with
-    the boolean-tensor reference at every pinned tall-row regime."""
+    """The public dispatch and the label pass agree with the unpacked
+    reference at every pinned tall-row regime."""
     from repro.xbareval import connectivity as conn
 
     tb_ref = conn._top_bottom_connected_unpacked(grids)
     lr_ref = conn._left_right_blocked_8_unpacked(grids)
-    assert np.array_equal(
-        conn._top_bottom_connected_packed_multiword(grids), tb_ref)
-    assert np.array_equal(
-        conn._left_right_blocked_8_packed_multiword(grids), lr_ref)
-    # the public dispatch agrees too, whichever kernel it picks
+    assert np.array_equal(conn._top_bottom_connected_label(grids), tb_ref)
+    assert np.array_equal(conn._left_right_blocked_8_label(grids), lr_ref)
     assert np.array_equal(top_bottom_connected_batch(grids), tb_ref)
     assert np.array_equal(left_right_blocked_8_batch(grids), lr_ref)
     assert percolation_duality_holds_batch(grids).all()
 
 
-@settings(max_examples=25, deadline=None)
-@given(grid_batches())
-def test_multiword_kernels_degenerate_to_single_word(grids):
-    """rows <= 64 runs the multi-word layout with one word per column;
-    the verdicts must match the single-word fast path bit for bit."""
-    from repro.xbareval import connectivity as conn
-
-    assert np.array_equal(
-        conn._top_bottom_connected_packed_multiword(grids),
-        conn._top_bottom_connected_packed(grids))
-    assert np.array_equal(
-        conn._left_right_blocked_8_packed_multiword(grids),
-        conn._left_right_blocked_8_packed(grids))
-
-
 def test_multiword_cross_word_carry_paths():
-    """A single one-cell-wide path crossing the 64-row word boundary —
-    the exact pattern a broken carry shift would sever."""
-    from repro.xbareval import connectivity as conn
-
+    """A single one-cell-wide path down a tall grid, and the same path
+    cut at row 64, the word boundary a bit-packed kernel would carry
+    across."""
     for rows in (65, 128, 200):
         grid = np.zeros((1, rows, 3), dtype=bool)
         grid[0, :, 1] = True
-        assert conn._top_bottom_connected_packed_multiword(grid)[0]
-        assert not conn._left_right_blocked_8_packed_multiword(grid)[0]
-        # cut exactly at the word boundary: bit 63 -> 64
+        assert top_bottom_connected_batch(grid)[0]
+        assert not left_right_blocked_8_batch(grid)[0]
         cut = grid.copy()
         cut[0, 64, 1] = False
-        assert not conn._top_bottom_connected_packed_multiword(cut)[0]
-        assert conn._left_right_blocked_8_packed_multiword(cut)[0]
-
-
-def test_tall_grids_stay_packed_in_dispatch(monkeypatch):
-    """Without scipy the dispatch must pick the multi-word packed kernel
-    for tall grids, not the slow unpacked fallback."""
-    from repro.xbareval import backend as be
-    from repro.xbareval import connectivity as conn
-
-    # pin the numpy path: a live numba backend would (correctly) answer
-    # before the multi-word kernel this test instruments
-    monkeypatch.setenv(be.BACKEND_ENV, "numpy")
-    be.reset_backend_cache()
-    calls = []
-    real = conn._top_bottom_connected_packed_multiword
-    monkeypatch.setattr(conn, "_ndimage", None)
-    monkeypatch.setattr(conn, "_top_bottom_connected_packed_multiword",
-                        lambda grids: calls.append(1) or real(grids))
-    rng = np.random.default_rng(5)
-    grids = rng.random((2, 100, 4)) < 0.6
-    got = top_bottom_connected_batch(grids)
-    assert calls, "tall grid took a non-packed path"
-    assert np.array_equal(got, conn._top_bottom_connected_unpacked(grids))
+        assert not top_bottom_connected_batch(cut)[0]
+        assert left_right_blocked_8_batch(cut)[0]
 
 
 def test_scipy_label_failure_degrades_once(monkeypatch):
-    """A scipy ABI failure mid-call falls back to the numpy kernels for
+    """A scipy ABI failure mid-call falls back to the unpacked flood for
     the rest of the process instead of raising mid-campaign."""
     from repro.xbareval import connectivity as conn
-
-    if conn._ndimage is None:
-        pytest.skip("scipy not installed")
-
-    # pin auto dispatch: a live numba backend would answer before the
-    # broken label pass this test plants
-    from repro.xbareval import backend as be
-
-    monkeypatch.setenv(be.BACKEND_ENV, "auto")
-    be.reset_backend_cache()
 
     class _BrokenNdimage:
         @staticmethod
@@ -310,48 +237,24 @@ def test_scipy_label_failure_degrades_once(monkeypatch):
 
     monkeypatch.setattr(conn, "_ndimage", _BrokenNdimage)
     monkeypatch.setattr(conn, "_label_healthy", True)
+    calls = []
+    for name in ("_top_bottom_connected_unpacked",
+                 "_left_right_blocked_8_unpacked"):
+        real = getattr(conn, name)
+        monkeypatch.setattr(
+            conn, name,
+            lambda grids, real=real, name=name: calls.append(name)
+            or real(grids))
     rng = np.random.default_rng(9)
     grids = rng.random((3, 5, 5)) < 0.5
-    want = conn._top_bottom_connected_unpacked(grids)
-    assert np.array_equal(top_bottom_connected_batch(grids), want)
+    want_tb = [top_bottom_connected(g.tolist()) for g in grids]
+    want_lr = [left_right_blocked_8(g.tolist()) for g in grids]
+    assert top_bottom_connected_batch(grids).tolist() == want_tb
     assert conn._label_healthy is False  # flag flipped, logged once
-    # later batches skip the broken accelerator entirely
-    assert np.array_equal(left_right_blocked_8_batch(grids),
-                          conn._left_right_blocked_8_unpacked(grids))
-
-
-def test_backend_env_selection(monkeypatch):
-    """NANOXBAR_BACKEND=numpy pins the packed path; unknown values and a
-    missing numba degrade to auto with one logged event, never an error."""
-    from repro.xbareval import backend as be
-    from repro.xbareval import connectivity as conn
-
-    rng = np.random.default_rng(11)
-    grids = rng.random((2, 6, 6)) < 0.5
-    want = conn._top_bottom_connected_unpacked(grids).tolist()
-
-    monkeypatch.setenv(be.BACKEND_ENV, "numpy")
-    be.reset_backend_cache()
-    assert be.requested_backend() == "numpy"
-    assert be.force_numpy() and not be.using_numba()
-    assert top_bottom_connected_batch(grids).tolist() == want
-
-    monkeypatch.setenv(be.BACKEND_ENV, "no-such-backend")
-    be.reset_backend_cache()
-    assert be.requested_backend() == "auto"
-    assert top_bottom_connected_batch(grids).tolist() == want
-
-    monkeypatch.setenv(be.BACKEND_ENV, "numba")
-    be.reset_backend_cache()
-    # with numba installed this exercises the JIT kernels; without it the
-    # fallback must be silent and bit-identical
-    assert top_bottom_connected_batch(grids).tolist() == want
-    assert left_right_blocked_8_batch(grids).tolist() == \
-        conn._left_right_blocked_8_unpacked(grids).tolist()
-
-    monkeypatch.delenv(be.BACKEND_ENV)
-    be.reset_backend_cache()
-    assert be.requested_backend() == "auto"
+    # later batches skip the broken label pass entirely
+    assert left_right_blocked_8_batch(grids).tolist() == want_lr
+    assert calls == ["_top_bottom_connected_unpacked",
+                     "_left_right_blocked_8_unpacked"]
 
 
 # ----------------------------------------------------------------------

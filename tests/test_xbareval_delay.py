@@ -104,6 +104,11 @@ def test_best_path_delay_batch_rejects_bad_inputs():
     with pytest.raises(ValueError):
         best_path_delay_batch(np.ones((1, 2, 2), dtype=bool),
                               np.zeros((1, 2, 2)))
+    # a NaN resistance must be rejected: the relaxation would never settle
+    nan_map = np.ones((1, 2, 2))
+    nan_map[0, 1, 0] = np.nan
+    with pytest.raises(ValueError):
+        best_path_delay_batch(np.ones((1, 2, 2), dtype=bool), nan_map)
 
 
 @settings(max_examples=60, deadline=None)
