@@ -12,6 +12,8 @@ them into a batch service:
 * :mod:`repro.engine.store`     — generic persisted JSON store for other
   job families (e.g. :mod:`repro.faultlab` campaigns) plus the claimable
   experiment-grid rows :mod:`repro.grid` orchestrates
+* :mod:`repro.engine.campaign`  — the one Monte-Carlo campaign driver
+  (plan, shard, merge, persist, stream) every campaign family plugs into
 * :mod:`repro.engine.engine`    — the ``BatchEngine`` facade
 
 Quickstart::

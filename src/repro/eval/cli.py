@@ -189,21 +189,33 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_campaign(run, spec, args: argparse.Namespace,
+                  header: str = "") -> int:
+    """Run one campaign with the shared ``--cache``/``--processes`` flags."""
+    from ..engine import default_processes
+
+    store = None if args.no_cache else args.cache
+    processes = (default_processes() if args.processes == 0
+                 else args.processes)
+    try:
+        result = run(spec, store=store, processes=processes)
+    except sqlite3.DatabaseError as error:
+        print(f"error: cannot use campaign store {store!r}: {error}",
+              file=sys.stderr)
+        print(f"hint: delete {store!r} and rerun", file=sys.stderr)
+        return 1
+    print(header + result.render())
+    return 0
+
+
 def _cmd_faultsim(args: argparse.Namespace) -> int:
     from ..faultlab import CampaignSpec, run_campaign
+    from ..faultlab.campaign import default_k_values
 
-    if args.k:
-        k_values = tuple(args.k)
-    else:
-        # Default thresholds off the largest swept N (the Fig. 6 regime:
-        # half, three-quarter and full recovery).
-        n_max = max(args.n)
-        k_values = tuple(sorted({max(1, n_max // 2),
-                                 max(1, 3 * n_max // 4), n_max}))
     try:
         spec = CampaignSpec(
             n_values=tuple(args.n),
-            k_values=k_values,
+            k_values=tuple(args.k or default_k_values(args.n)),
             densities=tuple(args.densities),
             models=tuple(args.models),
             strategies=tuple(args.strategies),
@@ -215,36 +227,16 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    from ..engine import default_processes
-
-    store = None if args.no_cache else args.cache
-    processes = (default_processes() if args.processes == 0
-                 else args.processes)
-    try:
-        result = run_campaign(spec, store=store, processes=processes)
-    except sqlite3.DatabaseError as error:
-        print(f"error: cannot use campaign store {store!r}: {error}",
-              file=sys.stderr)
-        print(f"hint: delete {store!r} and rerun", file=sys.stderr)
-        return 1
-    print(result.render())
-    return 0
+    return _run_campaign(run_campaign, spec, args)
 
 
 def _cmd_varsweep(args: argparse.Namespace) -> int:
-    from ..synthesis import synthesize_lattice_dual
-    from ..varsim import VariationCampaignSpec, run_variation_campaign
+    from ..varsim import run_variation_campaign, spec_for_bench
 
     try:
-        benchmark = by_name(args.bench)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    lattice = synthesize_lattice_dual(benchmark.function.on)
-    try:
-        spec = VariationCampaignSpec(
-            lattice=lattice,
-            sigmas=tuple(args.sigmas),
+        benchmark, spec = spec_for_bench(
+            args.bench,
+            sigmas=args.sigmas,
             crossbar_rows=args.crossbar_rows,
             crossbar_cols=args.crossbar_cols,
             trials=args.trials,
@@ -252,25 +244,15 @@ def _cmd_varsweep(args: argparse.Namespace) -> int:
             nominal=args.nominal,
             batch_size=args.batch_size,
         )
+    except KeyError as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    from ..engine import default_processes
-
-    store = None if args.no_cache else args.cache
-    processes = (default_processes() if args.processes == 0
-                 else args.processes)
-    try:
-        result = run_variation_campaign(spec, store=store,
-                                        processes=processes)
-    except sqlite3.DatabaseError as error:
-        print(f"error: cannot use campaign store {store!r}: {error}",
-              file=sys.stderr)
-        print(f"hint: delete {store!r} and rerun", file=sys.stderr)
-        return 1
-    print(f"benchmark {benchmark.name}: {benchmark.description}")
-    print(result.render())
-    return 0
+    return _run_campaign(
+        run_variation_campaign, spec, args,
+        header=f"benchmark {benchmark.name}: {benchmark.description}\n")
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
@@ -403,11 +385,11 @@ def _submit_payload(args: argparse.Namespace) -> dict:
         return {"kind": "synthesis",
                 "jobs": [{"bench": name} for name in args.benches]}
     if args.kind == "faultsim":
-        n_max = max(args.n)
-        k_values = args.k or sorted({max(1, n_max // 2),
-                                     max(1, 3 * n_max // 4), n_max})
+        from ..faultlab.campaign import default_k_values
+
         return {"kind": "faultsim", "n_values": args.n,
-                "k_values": list(k_values), "densities": args.densities,
+                "k_values": list(args.k or default_k_values(args.n)),
+                "densities": args.densities,
                 "trials": args.trials, "seed": args.seed,
                 "batch_size": args.batch_size}
     return {"kind": "varsweep", "bench": args.bench, "sigmas": args.sigmas,
@@ -742,11 +724,13 @@ def build_parser() -> argparse.ArgumentParser:
     varsweep.add_argument("--sigmas", type=float, nargs="+",
                           default=[0.1, 0.3, 0.6],
                           help="lognormal variation strengths to sweep")
-    varsweep.add_argument("--crossbar-rows", type=int, default=16,
+    varsweep.add_argument("--crossbar-rows", type=int, default=None,
                           help="physical crossbar rows the lattice is "
-                               "placed on")
-    varsweep.add_argument("--crossbar-cols", type=int, default=16,
-                          help="physical crossbar columns")
+                               "placed on (default: max(16, lattice "
+                               "rows))")
+    varsweep.add_argument("--crossbar-cols", type=int, default=None,
+                          help="physical crossbar columns (default: "
+                               "max(16, lattice columns))")
     varsweep.add_argument("--trials", type=int, default=500,
                           help="Monte-Carlo trials per sigma")
     varsweep.add_argument("--seed", type=int, default=0,

@@ -17,9 +17,12 @@ API -> paper map:
   (Fig. 6 / Section IV-C), clean-``k`` feasibility (manufacturing yield),
   and defect-aware placement checks (Section IV-B self-mapping), each
   validated against its scalar :mod:`repro.reliability` reference;
-* :mod:`repro.faultlab.campaign` — ``CampaignSpec`` grids, the sharded
-  runner and persisted ``PointEstimate`` histograms (Fig. 6b recovery
-  curves and the Section IV yield story, at ensemble scale);
+* :mod:`repro.faultlab.campaign` — ``CampaignSpec`` grids and persisted
+  ``PointEstimate`` histograms (Fig. 6b recovery curves and the Section
+  IV yield story, at ensemble scale).  The family supplies its points,
+  seeded batch tasks, pure batch task, histogram merge and payload
+  codec; the shared driver :class:`repro.engine.campaign.CampaignFamily`
+  plans, shards, persists and streams the estimates;
 * :mod:`repro.faultlab.report` — yield curves with Wilson intervals and
   cross-checks against the analytic
   :mod:`repro.reliability.yield_model` bounds.

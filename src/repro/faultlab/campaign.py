@@ -10,13 +10,12 @@ of sampled chips per grid point:
   model, strategy, trial count, seed);
 * :class:`CampaignPoint` — one sampled ensemble (every ``k`` threshold is
   answered from the same ensemble's recovered-``k`` histogram);
-* :func:`iter_campaign` — the streaming core: expands the grid, shards
-  each point's trial batches through
-  :func:`repro.engine.pool.map_sharded`, persists its histogram in the
-  engine's :class:`~repro.engine.store.JsonStore` keyed by
-  ``(model, N, density, strategy, trials, seed, ...)`` and **yields** the
-  :class:`PointEstimate` as soon as the point completes — the batch
-  server streams these to clients incrementally;
+* :func:`iter_campaign` — the streaming core: the shared
+  :class:`repro.engine.campaign.CampaignFamily` driver over this module's
+  points, seeded batch tasks, histogram merge and payload codec.  Each
+  point's histogram is persisted in the engine's
+  :class:`~repro.engine.store.JsonStore` under :meth:`CampaignPoint.key`
+  and the :class:`PointEstimate` is **yielded** as soon as it completes;
 * :func:`run_campaign` — drains the iterator into an aggregate
   :class:`CampaignResult`.
 
@@ -30,31 +29,14 @@ reorderings, and across cache hits/misses.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from ..engine.campaign import CampaignFamily, CampaignRun
 from ..engine.pool import batch_sizes, iter_sharded
 from ..engine.store import JsonStore
-from ..obs import get_logger, log_event, metrics, tracing
-
-_LOG = get_logger("faultlab")
-
-_POINTS = metrics.registry()
-_POINT_SECONDS = _POINTS.histogram(
-    "campaign_point_seconds", "wall-clock per completed campaign grid point",
-    labels={"family": "faultsim"})
-_POINTS_DONE = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "faultsim", "status": "completed"})
-_POINTS_CACHED = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "faultsim", "status": "cached"})
-_POINTS_FAILED = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "faultsim", "status": "failed"})
 from .kernels import recovered_k_batch, recovered_k_exact_batch
 from .maps import bernoulli_defect_batch, clustered_defect_batch
 
@@ -217,14 +199,11 @@ class PointEstimate:
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(CampaignRun):
     """Everything one ``run_campaign`` call produced."""
 
     spec: CampaignSpec
     estimates: list[PointEstimate]
-    elapsed: float = 0.0
-    cache_hits: int = 0
-    trials_sampled: int = 0
 
     def estimate(self, point: CampaignPoint) -> PointEstimate:
         for est in self.estimates:
@@ -270,11 +249,6 @@ class CampaignResult:
             "max_k": est.max_k,
         } for est in self.estimates]
 
-    @property
-    def throughput(self) -> float:
-        """Freshly sampled trials per second (cache hits excluded)."""
-        return self.trials_sampled / self.elapsed if self.elapsed > 0 else 0.0
-
     def render(self) -> str:
         from .report import render_campaign
 
@@ -282,7 +256,7 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# The sharded runner
+# The family's parts for the shared campaign driver
 # ----------------------------------------------------------------------
 def _point_batch_task(task: tuple) -> tuple[int, ...]:
     """Worker body: sample one trial batch, return its recovered-k histogram.
@@ -307,14 +281,39 @@ def _point_batch_task(task: tuple) -> tuple[int, ...]:
     return tuple(int(x) for x in np.bincount(ks, minlength=n + 1))
 
 
-def _valid_payload(payload, point: CampaignPoint) -> bool:
-    if not isinstance(payload, dict):
-        return False
-    histogram = payload.get("k_histogram")
-    return (isinstance(histogram, list)
-            and len(histogram) == point.n + 1
-            and all(isinstance(c, int) and c >= 0 for c in histogram)
-            and sum(histogram) == point.trials)
+def _point_tasks(point: CampaignPoint) -> list[tuple]:
+    """One worker task per seeded trial batch of this grid point."""
+    root = np.random.SeedSequence(point.entropy())
+    sizes = batch_sizes(point.trials, point.batch_size)
+    return [
+        (point.model, point.n, point.density, point.strategy,
+         point.stuck_open_fraction, batch_trials, child)
+        for child, batch_trials in zip(root.spawn(len(sizes)), sizes)
+    ]
+
+
+def _shard(tasks: list[tuple], processes: int):
+    # Resolves this module's ``iter_sharded`` per call (not bound at
+    # import), so a wrapper installed on the module sees every stream.
+    return iter_sharded(_point_batch_task, tasks, processes)
+
+
+def _merge(point: CampaignPoint, histograms: list) -> PointEstimate:
+    accumulator = np.zeros(point.n + 1, dtype=np.int64)
+    for histogram in histograms:
+        accumulator += np.array(histogram, dtype=np.int64)
+    return PointEstimate(point, tuple(int(x) for x in accumulator),
+                         cache_hit=False)
+
+
+def default_k_values(n_values) -> tuple[int, ...]:
+    """Default clean-square thresholds off the largest swept ``N``.
+
+    The Fig. 6 regime: half, three-quarter and full recovery.
+    """
+    n_max = max(n_values)
+    return tuple(sorted({max(1, n_max // 2), max(1, 3 * n_max // 4),
+                         n_max}))
 
 
 def point_from_params(params: dict) -> CampaignPoint:
@@ -324,18 +323,19 @@ def point_from_params(params: dict) -> CampaignPoint:
     dicts; this routes them through a single-point :class:`CampaignSpec`
     so every spec invariant (model/strategy names, the ``exact`` size
     ceiling, ranges) is enforced identically to ``run_campaign``.
+    Parameters the mapping omits take the :class:`CampaignSpec` defaults.
     """
-    spec = CampaignSpec(
-        n_values=(int(params["n"]),),
-        k_values=(0,),
-        densities=(float(params["density"]),),
-        models=(str(params.get("model", "bernoulli")),),
-        strategies=(str(params.get("strategy", "greedy")),),
-        trials=int(params.get("trials", 1000)),
-        seed=int(params.get("seed", 0)),
-        stuck_open_fraction=float(params.get("stuck_open_fraction", 0.8)),
-        batch_size=int(params.get("batch_size", 256)),
-    )
+    kwargs = {name: cast(params[name])
+              for name, cast in (("trials", int), ("seed", int),
+                                 ("stuck_open_fraction", float),
+                                 ("batch_size", int))
+              if name in params}
+    if "model" in params:
+        kwargs["models"] = (str(params["model"]),)
+    if "strategy" in params:
+        kwargs["strategies"] = (str(params["strategy"]),)
+    spec = CampaignSpec(n_values=(int(params["n"]),), k_values=(0,),
+                        densities=(float(params["density"]),), **kwargs)
     return spec.points()[0]
 
 
@@ -354,10 +354,19 @@ def payload_for(estimate: PointEstimate) -> dict:
 def estimate_from_payload(point: CampaignPoint, payload,
                           cache_hit: bool = True) -> PointEstimate | None:
     """Rehydrate a persisted payload, or ``None`` if it fails validation."""
-    if not _valid_payload(payload, point):
+    histogram = payload.get("k_histogram") \
+        if isinstance(payload, dict) else None
+    if not (isinstance(histogram, list)
+            and len(histogram) == point.n + 1
+            and all(isinstance(c, int) and c >= 0 for c in histogram)
+            and sum(histogram) == point.trials):
         return None
-    return PointEstimate(point, tuple(payload["k_histogram"]),
-                         cache_hit=cache_hit)
+    return PointEstimate(point, tuple(histogram), cache_hit=cache_hit)
+
+
+_FAMILY = CampaignFamily("faultsim", "faultlab", shard=_shard, merge=_merge,
+                         payload_for=payload_for,
+                         estimate_from_payload=estimate_from_payload)
 
 
 def compute_point(point: CampaignPoint, processes: int = 1) -> PointEstimate:
@@ -368,23 +377,7 @@ def compute_point(point: CampaignPoint, processes: int = 1) -> PointEstimate:
     property the grid claim protocol leans on when a lease expires and a
     second worker recomputes a point.
     """
-    tasks = _point_tasks(point)
-    accumulator = np.zeros(point.n + 1, dtype=np.int64)
-    for histogram in iter_sharded(_point_batch_task, tasks, processes):
-        accumulator += np.array(histogram, dtype=np.int64)
-    return PointEstimate(point, tuple(int(x) for x in accumulator),
-                         cache_hit=False)
-
-
-def _point_tasks(point: CampaignPoint) -> list[tuple]:
-    """One worker task per seeded trial batch of this grid point."""
-    root = np.random.SeedSequence(point.entropy())
-    sizes = batch_sizes(point.trials, point.batch_size)
-    return [
-        (point.model, point.n, point.density, point.strategy,
-         point.stuck_open_fraction, batch_trials, child)
-        for child, batch_trials in zip(root.spawn(len(sizes)), sizes)
-    ]
+    return _FAMILY.compute(point, _point_tasks(point), processes)
 
 
 def iter_campaign(spec: CampaignSpec,
@@ -410,74 +403,11 @@ def iter_campaign(spec: CampaignSpec,
         processes: worker count (``1`` = serial; results are
             bit-identical either way).
     """
-    owned = isinstance(store, str)
-    json_store: JsonStore | None = JsonStore(store) if owned else store
-    try:
-        yield from _iter_campaign(spec, json_store, processes)
-    finally:
-        if owned and json_store is not None:
-            json_store.close()
-
-
-def _iter_campaign(spec: CampaignSpec, store: JsonStore | None,
-                   processes: int):
-    # Plan the whole grid first (store probes are cheap reads), so one
-    # shared pool can pipeline every fresh batch across points.
-    plans: list[tuple[CampaignPoint, PointEstimate | None, int]] = []
-    tasks: list[tuple] = []
-    for point in spec.points():
-        payload = store.get(point.key()) if store is not None else None
-        cached_estimate = (estimate_from_payload(point, payload)
-                          if payload is not None else None)
-        if cached_estimate is not None:
-            plans.append((point, cached_estimate, 0))
-            continue
-        point_tasks = _point_tasks(point)
-        tasks.extend(point_tasks)
-        plans.append((point, None, len(point_tasks)))
-
-    results = iter_sharded(_point_batch_task, tasks, processes)
-    for point, cached, task_count in plans:
-        if cached is not None:
-            _POINTS_CACHED.inc()
-            yield cached
-            continue
-        # The span closes before the yield: it times sampling + persist,
-        # not however long the consumer sits on the estimate.
-        with tracing.span("faultlab.point", key=point.key()):
-            point_start = time.perf_counter()
-            try:
-                accumulator = np.zeros(point.n + 1, dtype=np.int64)
-                for _ in range(task_count):
-                    accumulator += np.array(next(results), dtype=np.int64)
-                estimate = PointEstimate(
-                    point, tuple(int(x) for x in accumulator),
-                    cache_hit=False)
-                if store is not None:
-                    store.put(point.key(), payload_for(estimate))
-            except Exception:
-                _POINTS_FAILED.inc()
-                raise
-            point_seconds = time.perf_counter() - point_start
-            _POINT_SECONDS.observe(point_seconds)
-            _POINTS_DONE.inc()
-            log_event(_LOG, "point done", key=point.key(),
-                      trials=point.trials,
-                      seconds=round(point_seconds, 6))
-        yield estimate
+    return _FAMILY.iter_points(spec.points(), _point_tasks, store, processes)
 
 
 def run_campaign(spec: CampaignSpec,
                  store: JsonStore | str | None = None,
                  processes: int = 1) -> CampaignResult:
     """Run a whole campaign through :func:`iter_campaign` and aggregate."""
-    start = time.perf_counter()
-    estimates = list(iter_campaign(spec, store, processes))
-    return CampaignResult(
-        spec=spec,
-        estimates=estimates,
-        elapsed=time.perf_counter() - start,
-        cache_hits=sum(1 for est in estimates if est.cache_hit),
-        trials_sampled=sum(est.point.trials for est in estimates
-                           if not est.cache_hit),
-    )
+    return CampaignResult.collect(spec, iter_campaign(spec, store, processes))

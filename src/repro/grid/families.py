@@ -7,10 +7,10 @@ content-addressed computations:
   grid row's key **is** :meth:`~repro.faultlab.campaign.CampaignPoint.key`
   and its payload is the exact ``run_campaign`` store payload, so grid
   sweeps and campaign runs dedup against each other bidirectionally.
-* ``varsweep``  — :mod:`repro.varsim.campaign` sigma points; the lattice
-  comes from a benchmark name via the same
-  ``synthesize_lattice_dual(bench.function.on)`` construction the batch
-  server uses, so served / campaign / grid answers share keys.
+* ``varsweep``  — :mod:`repro.varsim.campaign` sigma points; the spec
+  comes from a benchmark name through
+  :func:`repro.varsim.campaign.spec_for_bench`, the step the CLI and the
+  batch server share, so CLI / served / grid answers share keys.
 * ``synthesis`` — one portfolio race per (benchmark, strategy set),
   keyed by :meth:`repro.boolean.truthtable.TruthTable.content_hash`.
 * ``bench``     — SOP metric extraction per benchmark (the Fig. 3/5 size
@@ -71,37 +71,23 @@ def _faultsim_validate(params: dict[str, Any], payload: Any) -> bool:
 # ----------------------------------------------------------------------
 # varsweep
 # ----------------------------------------------------------------------
-_VARSWEEP_DEFAULTS = {
-    "trials": 500,
-    "seed": 0,
-    "nominal": 1.0,
-    "batch_size": 128,
-}
+#: Coercions for the optional varsweep params; absent ones take the
+#: :class:`~repro.varsim.campaign.VariationCampaignSpec` defaults.
+_VARSWEEP_CASTS = (("crossbar_rows", int), ("crossbar_cols", int),
+                   ("trials", int), ("seed", int), ("nominal", float),
+                   ("batch_size", int))
 
 
 def _varsweep_spec(params: dict[str, Any]):
     """Single-sigma spec + point for one varsweep grid row."""
     _str_params(params, "bench", "sigma")
-    from ..eval.benchsuite import by_name
-    from ..synthesis import synthesize_lattice_dual
-
     try:
-        benchmark = by_name(str(params["bench"]))
+        fields = {name: cast(params[name])
+                  for name, cast in _VARSWEEP_CASTS if name in params}
+        _, spec = varsweep_campaign.spec_for_bench(
+            str(params["bench"]), (float(params["sigma"]),), **fields)
     except KeyError as error:
         raise GridPointError(str(error.args[0])) from error
-    lattice = synthesize_lattice_dual(benchmark.function.on)
-    kwargs = {name: type(default)(params.get(name, default))
-              for name, default in _VARSWEEP_DEFAULTS.items()}
-    try:
-        spec = varsweep_campaign.VariationCampaignSpec(
-            lattice=lattice,
-            sigmas=(float(params["sigma"]),),
-            crossbar_rows=int(params.get("crossbar_rows",
-                                         max(16, lattice.rows))),
-            crossbar_cols=int(params.get("crossbar_cols",
-                                         max(16, lattice.cols))),
-            **kwargs,
-        )
     except (TypeError, ValueError) as error:
         raise GridPointError(f"bad varsweep point: {error}") from error
     return spec, spec.points()[0]

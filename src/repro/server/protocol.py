@@ -52,6 +52,7 @@ from ..grid import GridConfig, GridConfigError, GridPointError
 from ..grid import config_from_dict as grid_config_from_dict
 from ..grid import point_key as grid_point_key
 from ..varsim import VariationCampaignSpec, VariationPointEstimate
+from ..varsim.campaign import spec_for_bench
 
 #: The workload families the server fronts.
 KINDS = ("synthesis", "faultsim", "varsweep", "grid")
@@ -199,26 +200,16 @@ def _parse_varsweep(payload: dict) -> Submission:
     kwargs = {key: value for key, value in payload.items()
               if key in _VARSWEEP_FIELDS}
     kwargs["sigmas"] = tuple(_require(payload, "sigmas"))
-    if "bench" in payload:
-        from ..eval.benchsuite import by_name
-        from ..synthesis import synthesize_lattice_dual
-
-        try:
-            benchmark = by_name(str(payload["bench"]))
-        except KeyError as error:
-            raise ProtocolError(str(error.args[0])) from error
-        lattice = synthesize_lattice_dual(benchmark.function.on)
-        bench_name = benchmark.name
-    else:
+    if "bench" not in payload:
         raise ProtocolError("varsweep submissions need a 'bench' name")
-    kwargs.setdefault("crossbar_rows", max(16, lattice.rows))
-    kwargs.setdefault("crossbar_cols", max(16, lattice.cols))
     try:
-        spec = VariationCampaignSpec(lattice=lattice, **kwargs)
+        benchmark, spec = spec_for_bench(str(payload["bench"]), **kwargs)
+    except KeyError as error:
+        raise ProtocolError(str(error.args[0])) from error
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"bad varsweep spec: {error}") from error
     points = spec.points()
-    echo = {"kind": "varsweep", "bench": bench_name,
+    echo = {"kind": "varsweep", "bench": benchmark.name,
             "sigmas": list(spec.sigmas),
             "crossbar_rows": spec.crossbar_rows,
             "crossbar_cols": spec.crossbar_cols, "trials": spec.trials,

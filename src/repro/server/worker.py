@@ -39,6 +39,12 @@ from .protocol import (
 #: ("done", None), ("failed", message).
 EmitFn = Callable[[str, object], None]
 
+#: Campaign kinds: the streaming runner and its per-point JSON record.
+_CAMPAIGNS = {
+    "faultsim": (iter_campaign, fault_estimate_record),
+    "varsweep": (iter_variation_campaign, variation_estimate_record),
+}
+
 
 class WorkerBridge:
     """Runs submissions on worker threads, streaming per-point records.
@@ -107,17 +113,12 @@ class WorkerBridge:
                         for result in self.engine.submit(
                                 submission.jobs).result():
                             emit("point", job_result_record(result))
-                    elif submission.kind == "faultsim":
-                        for estimate in iter_campaign(
+                    elif submission.kind in _CAMPAIGNS:
+                        iterate, record = _CAMPAIGNS[submission.kind]
+                        for estimate in iterate(
                                 submission.spec, store=self.store,
                                 processes=self.processes):
-                            emit("point", fault_estimate_record(estimate))
-                    elif submission.kind == "varsweep":
-                        for estimate in iter_variation_campaign(
-                                submission.spec, store=self.store,
-                                processes=self.processes):
-                            emit("point",
-                                 variation_estimate_record(estimate))
+                            emit("point", record(estimate))
                     elif submission.kind == "grid":
                         # The served grid drains in-process against the
                         # bridge's store; external `nanoxbar grid`

@@ -15,21 +15,21 @@ API -> paper map:
   delay kernel the campaigns run on (vectorized Bellman-Ford over
   conduction x resistance tensors; scalar Dijkstra kept as the bit-exact
   reference);
-* :mod:`repro.varsim.campaign` — ``VariationCampaignSpec`` grids, the
-  sharded runner (``repro.engine.pool``) and per-sigma delay vectors
-  persisted in the engine's :class:`~repro.engine.store.JsonStore`;
+* :mod:`repro.varsim.campaign` — ``VariationCampaignSpec`` grids and
+  ``spec_for_bench`` (benchmark name → dual lattice → spec, shared by the
+  CLI, the batch server and the grid).  The family supplies its sigma
+  points, seeded batch tasks, pure batch task, delay-vector merge and
+  payload codec; the shared driver
+  :class:`repro.engine.campaign.CampaignFamily` plans, shards
+  (``repro.engine.pool``), persists in the engine's
+  :class:`~repro.engine.store.JsonStore` and streams the estimates;
 * :mod:`repro.varsim.report` — delay tables and awareness cross-checks.
 
 Quickstart::
 
-    from repro.eval.benchsuite import by_name
-    from repro.synthesis import synthesize_lattice_dual
-    from repro.varsim import VariationCampaignSpec, run_variation_campaign
+    from repro.varsim import run_variation_campaign, spec_for_bench
 
-    lattice = synthesize_lattice_dual(by_name("xnor2").function.on)
-    spec = VariationCampaignSpec(lattice, sigmas=(0.1, 0.3, 0.6),
-                                 crossbar_rows=16, crossbar_cols=16,
-                                 trials=500)
+    _, spec = spec_for_bench("xnor2", sigmas=(0.1, 0.3, 0.6), trials=500)
     result = run_variation_campaign(spec, store="campaigns.sqlite",
                                     processes=4)
     print(result.render())
@@ -45,6 +45,7 @@ from .campaign import (
     iter_variation_campaign,
     lattice_content_hash,
     run_variation_campaign,
+    spec_for_bench,
 )
 from .ensembles import (
     VariationBatch,
@@ -69,5 +70,6 @@ __all__ = [
     "render_variation_campaign",
     "run_variation_campaign",
     "smallest_k_indices",
+    "spec_for_bench",
     "variation_aware_selection_batch",
 ]

@@ -14,14 +14,15 @@ over the on-set) through the batched Bellman-Ford kernel of
 * :class:`VariationCampaignPoint` — one sampled ensemble (one sigma; the
   aware and oblivious policies share the ensemble, so they are comparable
   trial-by-trial);
-* :func:`iter_variation_campaign` — the streaming core: shards each
-  point's trial batches through :func:`repro.engine.pool.map_sharded`,
-  persists its delay vectors in the engine's
-  :class:`~repro.engine.store.JsonStore` and **yields** the
-  :class:`VariationPointEstimate` as soon as the sigma completes — the
-  batch server streams these to clients incrementally;
+* :func:`iter_variation_campaign` — the streaming core: the shared
+  :class:`repro.engine.campaign.CampaignFamily` driver over this module's
+  sigma points, seeded batch tasks, delay-vector merge and payload codec
+  (persist each sigma's delay vectors, then **yield** its
+  :class:`VariationPointEstimate`);
 * :func:`run_variation_campaign` — drains the iterator into an aggregate
-  :class:`VariationCampaignResult`.
+  :class:`VariationCampaignResult`;
+* :func:`spec_for_bench` — the one benchmark-name → dual lattice →
+  spec step the CLI, the batch server and the grid adapters share.
 
 Determinism: the same contract as :mod:`repro.faultlab.campaign` — each
 point's RNG root is a ``SeedSequence`` over the campaign seed plus a
@@ -38,32 +39,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..boolean.cube import Literal
 from ..crossbar.lattice import Lattice
+from ..engine.campaign import CampaignFamily, CampaignRun
 from ..engine.pool import batch_sizes, iter_sharded
 from ..engine.store import JsonStore
-from ..obs import get_logger, log_event, metrics, tracing
-
-_LOG = get_logger("varsim")
-
-_POINTS = metrics.registry()
-_POINT_SECONDS = _POINTS.histogram(
-    "campaign_point_seconds", "wall-clock per completed campaign grid point",
-    labels={"family": "varsweep"})
-_POINTS_DONE = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "varsweep", "status": "completed"})
-_POINTS_CACHED = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "varsweep", "status": "cached"})
-_POINTS_FAILED = _POINTS.counter(
-    "campaign_points_total", "campaign grid points by terminal status",
-    labels={"family": "varsweep", "status": "failed"})
 from ..xbareval.delay import onset_critical_delay_batch
 from .ensembles import (
     lognormal_variation_batch,
@@ -139,6 +123,9 @@ class VariationCampaignSpec:
     seed: int = 0
     nominal: float = 1.0
     batch_size: int = 128
+    #: The lattice's on-set, derived (and checked non-empty) once here.
+    minterms: tuple[int, ...] = field(init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigmas", tuple(self.sigmas))
@@ -155,6 +142,12 @@ class VariationCampaignSpec:
             raise ValueError("batch_size must be positive")
         if not (math.isfinite(self.nominal) and self.nominal > 0):
             raise ValueError("nominal resistance must be finite and positive")
+        minterms = tuple(self.lattice.to_truth_table().minterms())
+        if not minterms:
+            raise ValueError(
+                "variation campaign is undefined for a constant-0 lattice: "
+                "critical delay has no conducting on-set input")
+        object.__setattr__(self, "minterms", minterms)
 
     def points(self) -> list[VariationCampaignPoint]:
         """Grid expansion: one point per sigma."""
@@ -218,14 +211,11 @@ class VariationPointEstimate:
 
 
 @dataclass
-class VariationCampaignResult:
+class VariationCampaignResult(CampaignRun):
     """Everything one ``run_variation_campaign`` call produced."""
 
     spec: VariationCampaignSpec
     estimates: list[VariationPointEstimate]
-    elapsed: float = 0.0
-    cache_hits: int = 0
-    trials_sampled: int = 0
 
     def estimate(self, sigma: float) -> VariationPointEstimate:
         for est in self.estimates:
@@ -246,11 +236,6 @@ class VariationCampaignResult:
             "p95_gain": est.p95_improvement,
         } for est in self.estimates]
 
-    @property
-    def throughput(self) -> float:
-        """Freshly sampled trials per second (cache hits excluded)."""
-        return self.trials_sampled / self.elapsed if self.elapsed > 0 else 0.0
-
     def render(self) -> str:
         from .report import render_variation_campaign
 
@@ -258,7 +243,7 @@ class VariationCampaignResult:
 
 
 # ----------------------------------------------------------------------
-# The sharded runner
+# The family's parts for the shared campaign driver
 # ----------------------------------------------------------------------
 def _point_batch_task(task: tuple) -> tuple[tuple[float, ...],
                                             tuple[float, ...]]:
@@ -289,18 +274,31 @@ def _point_batch_task(task: tuple) -> tuple[tuple[float, ...],
             tuple(delays[batch_trials:].tolist()))
 
 
-def _valid_payload(payload, point: VariationCampaignPoint) -> bool:
-    if not isinstance(payload, dict):
-        return False
-    aware = payload.get("aware")
-    oblivious = payload.get("oblivious")
-    return all(
-        isinstance(delays, list)
-        and len(delays) == point.trials
-        and all(isinstance(d, float) and math.isfinite(d) and d > 0
-                for d in delays)
-        for delays in (aware, oblivious)
-    )
+def _point_tasks(spec: VariationCampaignSpec,
+                 point: VariationCampaignPoint) -> list[tuple]:
+    """One worker task per seeded trial batch of this sigma point."""
+    root = np.random.SeedSequence(point.entropy())
+    sizes = batch_sizes(point.trials, point.batch_size)
+    return [
+        (spec.lattice, spec.minterms, point.sigma, point.crossbar_rows,
+         point.crossbar_cols, point.nominal, batch_trials, child)
+        for child, batch_trials in zip(root.spawn(len(sizes)), sizes)
+    ]
+
+
+def _shard(tasks: list[tuple], processes: int):
+    return iter_sharded(_point_batch_task, tasks, processes)
+
+
+def _merge(point: VariationCampaignPoint,
+           batches: list) -> VariationPointEstimate:
+    aware: list[float] = []
+    oblivious: list[float] = []
+    for batch_aware, batch_oblivious in batches:
+        aware.extend(batch_aware)
+        oblivious.extend(batch_oblivious)
+    return VariationPointEstimate(point, tuple(aware), tuple(oblivious),
+                                  cache_hit=False)
 
 
 def payload_for(estimate: VariationPointEstimate) -> dict:
@@ -320,11 +318,53 @@ def estimate_from_payload(point: VariationCampaignPoint, payload,
                           cache_hit: bool = True
                           ) -> VariationPointEstimate | None:
     """Rehydrate a persisted payload, or ``None`` if it fails validation."""
-    if not _valid_payload(payload, point):
+    if not isinstance(payload, dict):
         return None
-    return VariationPointEstimate(point, tuple(payload["aware"]),
-                                  tuple(payload["oblivious"]),
+    aware, oblivious = payload.get("aware"), payload.get("oblivious")
+    if not all(isinstance(delays, list)
+               and len(delays) == point.trials
+               and all(isinstance(d, float) and math.isfinite(d) and d > 0
+                       for d in delays)
+               for delays in (aware, oblivious)):
+        return None
+    return VariationPointEstimate(point, tuple(aware), tuple(oblivious),
                                   cache_hit=cache_hit)
+
+
+_FAMILY = CampaignFamily("varsweep", "varsim", shard=_shard, merge=_merge,
+                         payload_for=payload_for,
+                         estimate_from_payload=estimate_from_payload)
+
+
+def spec_for_bench(bench: str, sigmas, crossbar_rows: int | None = None,
+                   crossbar_cols: int | None = None, **fields):
+    """``(benchmark, spec)`` for a campaign over a named benchmark.
+
+    The lattice is the benchmark's dual construction
+    (``synthesize_lattice_dual(bench.function.on)``); an omitted crossbar
+    side defaults to ``max(16, lattice side)``, and ``fields`` are the
+    remaining :class:`VariationCampaignSpec` fields (absent ones take the
+    spec defaults).  Every front end — the CLI, the batch server and the
+    grid adapters — builds its spec here, so equal arguments give equal
+    point keys.
+
+    Raises:
+        KeyError: unknown benchmark name.
+        ValueError, TypeError: a bad spec.
+    """
+    from ..eval.benchsuite import by_name
+    from ..synthesis import synthesize_lattice_dual
+
+    benchmark = by_name(bench)
+    lattice = synthesize_lattice_dual(benchmark.function.on)
+    spec = VariationCampaignSpec(
+        lattice=lattice, sigmas=tuple(sigmas),
+        crossbar_rows=(max(16, lattice.rows) if crossbar_rows is None
+                       else crossbar_rows),
+        crossbar_cols=(max(16, lattice.cols) if crossbar_cols is None
+                       else crossbar_cols),
+        **fields)
+    return benchmark, spec
 
 
 def compute_point(spec: VariationCampaignSpec,
@@ -338,34 +378,7 @@ def compute_point(spec: VariationCampaignSpec,
     and a second worker recomputes a point.  ``spec`` carries the lattice
     (the point only stores its content hash).
     """
-    table = spec.lattice.to_truth_table()
-    minterms = tuple(table.minterms())
-    if not minterms:
-        raise ValueError(
-            "variation campaign is undefined for a constant-0 lattice: "
-            "critical delay has no conducting on-set input")
-    aware: list[float] = []
-    oblivious: list[float] = []
-    tasks = _point_tasks(spec, point, minterms)
-    for batch_aware, batch_oblivious in iter_sharded(
-            _point_batch_task, tasks, processes):
-        aware.extend(batch_aware)
-        oblivious.extend(batch_oblivious)
-    return VariationPointEstimate(point, tuple(aware), tuple(oblivious),
-                                  cache_hit=False)
-
-
-def _point_tasks(spec: VariationCampaignSpec,
-                 point: VariationCampaignPoint,
-                 minterms: tuple[int, ...]) -> list[tuple]:
-    """One worker task per seeded trial batch of this sigma point."""
-    root = np.random.SeedSequence(point.entropy())
-    sizes = batch_sizes(point.trials, point.batch_size)
-    return [
-        (spec.lattice, minterms, point.sigma, point.crossbar_rows,
-         point.crossbar_cols, point.nominal, batch_trials, child)
-        for child, batch_trials in zip(root.spawn(len(sizes)), sizes)
-    ]
+    return _FAMILY.compute(point, _point_tasks(spec, point), processes)
 
 
 def iter_variation_campaign(spec: VariationCampaignSpec,
@@ -373,108 +386,19 @@ def iter_variation_campaign(spec: VariationCampaignSpec,
                             processes: int = 1):
     """Yield one :class:`VariationPointEstimate` per sigma as it completes.
 
-    The streaming face of the runner: the batch server forwards each
-    estimate to its clients the moment the sigma's trials are in, and
-    every fresh point is persisted before it is yielded (an interrupted
-    campaign resumes from the store).  Point order matches
-    :meth:`VariationCampaignSpec.points`.  Batch seeds are
-    content-addressed (never position-based), so streamed estimates are
-    bit-identical to the aggregate runner's, serial or pooled — and the
-    pooled path keeps the whole grid's batches in flight at once
-    (:func:`repro.engine.pool.iter_sharded`).
-
-    Args:
-        store: a :class:`~repro.engine.store.JsonStore`, a path to open one
-            at (closed when the iterator is exhausted), or ``None`` for no
-            persistence.
-        processes: worker count (``1`` = serial; results are
-            bit-identical either way).
-
-    Raises:
-        ValueError: when the spec's lattice computes the constant-0
-            function — critical delay is undefined on an empty on-set.
+    The same streaming contract as
+    :func:`repro.faultlab.campaign.iter_campaign` (persist before yield,
+    point order of :meth:`VariationCampaignSpec.points`, serial ==
+    pooled bit-identical, ``store`` an instance, a path or ``None``).
     """
-    table = spec.lattice.to_truth_table()
-    minterms = tuple(table.minterms())
-    if not minterms:
-        raise ValueError(
-            "variation campaign is undefined for a constant-0 lattice: "
-            "critical delay has no conducting on-set input")
-    owned = isinstance(store, str)
-    json_store: JsonStore | None = JsonStore(store) if owned else store
-    try:
-        yield from _iter_variation_campaign(spec, minterms, json_store,
-                                            processes)
-    finally:
-        if owned and json_store is not None:
-            json_store.close()
-
-
-def _iter_variation_campaign(spec: VariationCampaignSpec,
-                             minterms: tuple[int, ...],
-                             store: JsonStore | None,
-                             processes: int):
-    # Plan the whole grid first (store probes are cheap reads), so one
-    # shared pool can pipeline every fresh batch across sigmas.
-    plans: list[tuple[VariationCampaignPoint,
-                      VariationPointEstimate | None, int]] = []
-    tasks: list[tuple] = []
-    for point in spec.points():
-        payload = store.get(point.key()) if store is not None else None
-        cached_estimate = (estimate_from_payload(point, payload)
-                          if payload is not None else None)
-        if cached_estimate is not None:
-            plans.append((point, cached_estimate, 0))
-            continue
-        point_tasks = _point_tasks(spec, point, minterms)
-        tasks.extend(point_tasks)
-        plans.append((point, None, len(point_tasks)))
-
-    results = iter_sharded(_point_batch_task, tasks, processes)
-    for point, cached, task_count in plans:
-        if cached is not None:
-            _POINTS_CACHED.inc()
-            yield cached
-            continue
-        # The span closes before the yield: it times sampling + persist,
-        # not however long the consumer sits on the estimate.
-        with tracing.span("varsim.point", key=point.key()):
-            point_start = time.perf_counter()
-            try:
-                aware: list[float] = []
-                oblivious: list[float] = []
-                for _ in range(task_count):
-                    batch_aware, batch_oblivious = next(results)
-                    aware.extend(batch_aware)
-                    oblivious.extend(batch_oblivious)
-                estimate = VariationPointEstimate(point, tuple(aware),
-                                                  tuple(oblivious),
-                                                  cache_hit=False)
-                if store is not None:
-                    store.put(point.key(), payload_for(estimate))
-            except Exception:
-                _POINTS_FAILED.inc()
-                raise
-            point_seconds = time.perf_counter() - point_start
-            _POINT_SECONDS.observe(point_seconds)
-            _POINTS_DONE.inc()
-            log_event(_LOG, "point done", key=point.key(),
-                      trials=point.trials,
-                      seconds=round(point_seconds, 6))
-        yield estimate
+    return _FAMILY.iter_points(
+        spec.points(), lambda point: _point_tasks(spec, point), store,
+        processes)
 
 
 def run_variation_campaign(spec: VariationCampaignSpec,
                            store: JsonStore | str | None = None,
                            processes: int = 1) -> VariationCampaignResult:
     """Run a whole campaign through :func:`iter_variation_campaign`."""
-    start = time.perf_counter()
-    estimates = list(iter_variation_campaign(spec, store, processes))
-    return VariationCampaignResult(
-        spec=spec,
-        estimates=estimates,
-        elapsed=time.perf_counter() - start,
-        cache_hits=sum(1 for est in estimates if est.cache_hit),
-        trials_sampled=sum(est.point.trials for est in estimates
-                           if not est.cache_hit),
-    )
+    return VariationCampaignResult.collect(
+        spec, iter_variation_campaign(spec, store, processes))

@@ -38,6 +38,7 @@ from repro.grid import (
     work_loop,
 )
 from repro.obs import metrics
+from repro.varsim import VariationCampaignSpec
 
 
 def _bench_config(**overrides):
@@ -167,6 +168,22 @@ class TestFamilies:
         params = {"n": 6, "density": 0.05, **_FAULTSIM_PARAMS}
         point = faultsim_campaign.point_from_params(params)
         assert point_key("faultsim", params) == point.key()
+
+    def test_faultsim_omitted_params_take_the_spec_defaults(self):
+        point = CampaignSpec(n_values=(6,), k_values=(0,),
+                             densities=(0.05,)).points()[0]
+        assert point_key("faultsim", {"n": 6, "density": 0.05}) \
+            == point.key()
+
+    def test_varsweep_key_is_the_campaign_point_key(self):
+        from repro.eval.benchsuite import by_name
+        from repro.synthesis import synthesize_lattice_dual
+
+        lattice = synthesize_lattice_dual(by_name("xnor2").function.on)
+        spec = VariationCampaignSpec(lattice, sigmas=(0.2,),
+                                     crossbar_rows=16, crossbar_cols=16)
+        assert point_key("varsweep", {"bench": "xnor2", "sigma": 0.2}) \
+            == spec.points()[0].key()
 
     def test_missing_required_params_raise(self):
         with pytest.raises(GridPointError, match="density"):

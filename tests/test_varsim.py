@@ -238,6 +238,10 @@ def test_campaign_rejects_bad_specs():
             _spec(sigmas=(0.2, bad))
         with pytest.raises(ValueError, match="finite"):
             _spec(nominal=bad)
+    # The constant-0 guard fires at construction, in every front end.
+    with pytest.raises(ValueError, match="constant-0"):
+        VariationCampaignSpec(Lattice(1, [[False]]), sigmas=(0.2,),
+                              crossbar_rows=4, crossbar_cols=4)
     with pytest.raises(ValueError, match="constant-0"):
         run_variation_campaign(_spec(lattice=Lattice(1, [[False]]),
                                      crossbar_rows=4, crossbar_cols=4))
@@ -264,3 +268,30 @@ def test_cli_varsweep_unknown_bench(capsys):
     code = cli_main(["varsweep", "--bench", "no-such-bench", "--no-cache"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_default_crossbar_fits_a_tall_lattice(tmp_path, capsys):
+    """The CLI, the server and the grid default the crossbar alike.
+
+    sym6_2's dual lattice is 26x15, taller than the old fixed 16x16 CLI
+    default; all three front ends must place it on max(16, side).
+    """
+    from repro.grid import point_key
+    from repro.server.protocol import parse_submission
+
+    store_path = str(tmp_path / "campaigns.sqlite")
+    code = cli_main(["varsweep", "--bench", "sym6_2", "--sigmas", "0.2",
+                     "--trials", "20", "--batch-size", "10",
+                     "--cache", store_path])
+    assert code == 0
+    assert "varsim campaign" in capsys.readouterr().out
+    served = parse_submission({"kind": "varsweep", "bench": "sym6_2",
+                               "sigmas": [0.2], "trials": 20,
+                               "batch_size": 10}).spec.points()[0].key()
+    grid = point_key("varsweep", {"bench": "sym6_2", "sigma": 0.2,
+                                  "trials": 20, "batch_size": 10})
+    assert served == grid
+    assert "/a26x15/x26x16/" in served
+    with JsonStore(store_path) as store:
+        assert len(store) == 1
+        assert store.get(served) is not None
